@@ -2,20 +2,20 @@
 //!
 //! Each helper dispatches on the process-wide [`Engine`] selector: the
 //! thread-per-rank engine (`run_team`/`SimComm`) or the thread-free
-//! polled engine (`run_polled_team`/`PolledComm`). Both produce bitwise
-//! identical virtual latencies (pinned by the engine-equivalence suite),
-//! so the selector only changes wall-clock cost. Helpers whose bodies
+//! polled engine (`run_polled_team`/`PolledComm`). Their rank bodies are
+//! written once over [`kacc_comm::AsyncComm`] and driven by `block_on` on the
+//! threads engine, so both engines run the same code and produce
+//! bitwise-identical virtual latencies (pinned by the engine-equivalence
+//! suite); the selector only changes wall-clock cost. Helpers whose bodies
 //! are legacy blocking closures generic over `Comm` — the library
 //! personas ([`library_ns`]), [`pairs_read_ns`], [`breakdown`] — always
 //! run on the threads engine regardless of the selector.
 
 use kacc_collectives::{
-    allgather, allgather_polled, alltoall, alltoall_polled, bcast, bcast_polled, gather,
-    gatherv_polled, scatter, scatter_polled, AllgatherAlgo, AlltoallAlgo, BcastAlgo, GatherAlgo,
-    ScatterAlgo, Tuner,
+    allgather_async, alltoall_async, bcast_async, gatherv_async, scatterv_async, AllgatherAlgo,
+    AlltoallAlgo, BcastAlgo, GatherAlgo, ScatterAlgo, Tuner,
 };
-use kacc_comm::{smcoll, Comm, CommExt, RemoteToken, Tag};
-use kacc_machine::polled::sm_barrier_polled;
+use kacc_comm::{block_on, smcoll, Comm, CommExt, RemoteToken, Tag};
 use kacc_machine::{run_polled_team_phantom, run_team_phantom, PolledComm, RankStats, SimComm};
 use kacc_model::ArchProfile;
 use kacc_mpi::baseline::{self, Library};
@@ -84,126 +84,101 @@ where
     durs.into_iter().max().expect("nonempty team") as f64
 }
 
-/// The polled twin of [`timed_team`]: ranks synchronize over the polled
-/// dissemination barrier, then `f` runs on a fresh endpoint and returns
-/// its own elapsed virtual ns; the slowest rank's time is reported.
-pub fn timed_team_polled<F, Fut>(arch: &ArchProfile, p: usize, f: F) -> f64
-where
-    F: Fn(PolledComm) -> Fut + Clone + 'static,
-    Fut: std::future::Future<Output = u64> + 'static,
-{
-    let (_, durs) = run_polled_team_phantom(arch, p, move |rank| {
-        let f = f.clone();
-        async move {
-            let mut comm = PolledComm::new(rank);
-            sm_barrier_polled(&mut comm).await.expect("barrier");
-            f(comm).await
+/// The collectives behind the engine-dispatched latency helpers.
+#[derive(Debug, Clone, Copy)]
+enum Timed {
+    Scatter(ScatterAlgo),
+    Gather(GatherAlgo),
+    Allgather(AllgatherAlgo),
+    Alltoall(AlltoallAlgo),
+    Bcast(BcastAlgo),
+}
+
+/// One rank of [`timed`]: synchronize, run the collective (root 0),
+/// and return this rank's elapsed virtual ns. Written once over
+/// [`kacc_comm::AsyncComm`], so both engines run the same body.
+async fn timed_body<C: kacc_comm::AsyncComm + ?Sized>(
+    comm: &mut C,
+    p: usize,
+    eta: usize,
+    coll: Timed,
+) -> u64 {
+    smcoll::sm_barrier_async(comm).await.expect("barrier");
+    let t0 = comm.time_ns();
+    let me = comm.rank();
+    let run = match coll {
+        Timed::Scatter(algo) => {
+            let sb = (me == 0).then(|| comm.alloc(p * eta));
+            let rb = comm.alloc(eta);
+            scatterv_async(comm, algo, sb, Some(rb), &vec![eta; p], None, 0).await
         }
-    });
+        Timed::Gather(algo) => {
+            let sb = comm.alloc(eta);
+            let rb = (me == 0).then(|| comm.alloc(p * eta));
+            gatherv_async(comm, algo, Some(sb), rb, &vec![eta; p], None, 0).await
+        }
+        Timed::Allgather(algo) => {
+            let sb = comm.alloc(eta);
+            let rb = comm.alloc(p * eta);
+            allgather_async(comm, algo, Some(sb), rb, eta).await
+        }
+        Timed::Alltoall(algo) => {
+            let sb = comm.alloc(p * eta);
+            let rb = comm.alloc(p * eta);
+            alltoall_async(comm, algo, Some(sb), rb, eta).await
+        }
+        Timed::Bcast(algo) => {
+            let buf = comm.alloc(eta);
+            bcast_async(comm, algo, buf, eta, 0).await
+        }
+    };
+    run.unwrap_or_else(|e| panic!("{coll:?}: {e}"));
+    comm.time_ns() - t0
+}
+
+/// Latency of `coll` on the selected engine: the slowest rank's
+/// [`timed_body`] time, ns.
+fn timed(arch: &ArchProfile, p: usize, eta: usize, coll: Timed) -> f64 {
+    let durs = match engine() {
+        Engine::Threads => {
+            run_team_phantom(arch, p, move |comm| {
+                block_on(timed_body(comm, p, eta, coll))
+            })
+            .1
+        }
+        Engine::Polled => {
+            run_polled_team_phantom(arch, p, move |rank| async move {
+                timed_body(&mut PolledComm::new(rank), p, eta, coll).await
+            })
+            .1
+        }
+    };
     durs.into_iter().max().expect("nonempty team") as f64
 }
 
 /// Scatter latency (root 0), ns.
 pub fn scatter_ns(arch: &ArchProfile, p: usize, eta: usize, algo: ScatterAlgo) -> f64 {
-    match engine() {
-        Engine::Threads => timed_team(arch, p, move |comm| {
-            let me = comm.rank();
-            let sb = (me == 0).then(|| comm.alloc(p * eta));
-            let rb = comm.alloc(eta);
-            scatter(comm, algo, sb, Some(rb), eta, 0).expect("scatter");
-        }),
-        Engine::Polled => timed_team_polled(arch, p, move |mut comm| async move {
-            let t0 = comm.time_ns();
-            let me = comm.rank();
-            let sb = (me == 0).then(|| comm.alloc(p * eta));
-            let rb = comm.alloc(eta);
-            scatter_polled(&mut comm, algo, sb, Some(rb), eta, 0)
-                .await
-                .expect("scatter");
-            comm.time_ns() - t0
-        }),
-    }
+    timed(arch, p, eta, Timed::Scatter(algo))
 }
 
 /// Gather latency (root 0), ns.
 pub fn gather_ns(arch: &ArchProfile, p: usize, eta: usize, algo: GatherAlgo) -> f64 {
-    match engine() {
-        Engine::Threads => timed_team(arch, p, move |comm| {
-            let me = comm.rank();
-            let sb = comm.alloc(eta);
-            let rb = (me == 0).then(|| comm.alloc(p * eta));
-            gather(comm, algo, Some(sb), rb, eta, 0).expect("gather");
-        }),
-        Engine::Polled => timed_team_polled(arch, p, move |mut comm| async move {
-            let t0 = comm.time_ns();
-            let me = comm.rank();
-            let sb = comm.alloc(eta);
-            let rb = (me == 0).then(|| comm.alloc(p * eta));
-            let counts = vec![eta; p];
-            gatherv_polled(&mut comm, algo, Some(sb), rb, &counts, None, 0)
-                .await
-                .expect("gather");
-            comm.time_ns() - t0
-        }),
-    }
+    timed(arch, p, eta, Timed::Gather(algo))
 }
 
 /// Allgather latency, ns.
 pub fn allgather_ns(arch: &ArchProfile, p: usize, eta: usize, algo: AllgatherAlgo) -> f64 {
-    match engine() {
-        Engine::Threads => timed_team(arch, p, move |comm| {
-            let sb = comm.alloc(eta);
-            let rb = comm.alloc(p * eta);
-            allgather(comm, algo, Some(sb), rb, eta).expect("allgather");
-        }),
-        Engine::Polled => timed_team_polled(arch, p, move |mut comm| async move {
-            let t0 = comm.time_ns();
-            let sb = comm.alloc(eta);
-            let rb = comm.alloc(p * eta);
-            allgather_polled(&mut comm, algo, Some(sb), rb, eta)
-                .await
-                .expect("allgather");
-            comm.time_ns() - t0
-        }),
-    }
+    timed(arch, p, eta, Timed::Allgather(algo))
 }
 
 /// Alltoall latency, ns.
 pub fn alltoall_ns(arch: &ArchProfile, p: usize, eta: usize, algo: AlltoallAlgo) -> f64 {
-    match engine() {
-        Engine::Threads => timed_team(arch, p, move |comm| {
-            let sb = comm.alloc(p * eta);
-            let rb = comm.alloc(p * eta);
-            alltoall(comm, algo, Some(sb), rb, eta).expect("alltoall");
-        }),
-        Engine::Polled => timed_team_polled(arch, p, move |mut comm| async move {
-            let t0 = comm.time_ns();
-            let sb = comm.alloc(p * eta);
-            let rb = comm.alloc(p * eta);
-            alltoall_polled(&mut comm, algo, Some(sb), rb, eta)
-                .await
-                .expect("alltoall");
-            comm.time_ns() - t0
-        }),
-    }
+    timed(arch, p, eta, Timed::Alltoall(algo))
 }
 
 /// Bcast latency (root 0), ns.
 pub fn bcast_ns(arch: &ArchProfile, p: usize, eta: usize, algo: BcastAlgo) -> f64 {
-    match engine() {
-        Engine::Threads => timed_team(arch, p, move |comm| {
-            let buf = comm.alloc(eta);
-            bcast(comm, algo, buf, eta, 0).expect("bcast");
-        }),
-        Engine::Polled => timed_team_polled(arch, p, move |mut comm| async move {
-            let t0 = comm.time_ns();
-            let buf = comm.alloc(eta);
-            bcast_polled(&mut comm, algo, buf, eta, 0)
-                .await
-                .expect("bcast");
-            comm.time_ns() - t0
-        }),
-    }
+    timed(arch, p, eta, Timed::Bcast(algo))
 }
 
 /// Which collective a library persona runs.
@@ -306,68 +281,53 @@ pub fn one_to_all_read_lats(
     let durs = match engine() {
         Engine::Threads => {
             run_team_phantom(arch, readers + 1, move |comm| {
-                if comm.rank() == 0 {
-                    let len = if same_region { eta } else { eta * readers };
-                    let buf = comm.alloc(len);
-                    let tok = comm.expose(buf).expect("expose");
-                    for r in 1..=readers {
-                        comm.ctrl_send(r, Tag::user(1), &tok.to_bytes())
-                            .expect("send");
-                    }
-                    for r in 1..=readers {
-                        comm.wait_notify(r, Tag::user(2)).expect("done");
-                    }
-                    0u64
-                } else {
-                    let raw = comm.ctrl_recv(0, Tag::user(1)).expect("token");
-                    let tok = RemoteToken::from_bytes(&raw).expect("token bytes");
-                    let dst = comm.alloc(eta);
-                    let off = if same_region {
-                        0
-                    } else {
-                        (comm.rank() - 1) * eta
-                    };
-                    let t0 = comm.time_ns();
-                    comm.cma_read(tok, off, dst, 0, eta).expect("read");
-                    let d = comm.time_ns() - t0;
-                    comm.notify(0, Tag::user(2)).expect("notify");
-                    d
-                }
+                block_on(one_to_all_body(comm, readers, eta, same_region))
             })
             .1
         }
         Engine::Polled => {
             run_polled_team_phantom(arch, readers + 1, move |rank| async move {
-                let mut comm = PolledComm::new(rank);
-                if rank == 0 {
-                    let len = if same_region { eta } else { eta * readers };
-                    let buf = comm.alloc(len);
-                    let tok = comm.expose(buf).await.expect("expose");
-                    for r in 1..=readers {
-                        comm.ctrl_send(r, Tag::user(1), &tok.to_bytes())
-                            .await
-                            .expect("send");
-                    }
-                    for r in 1..=readers {
-                        comm.wait_notify(r, Tag::user(2)).await.expect("done");
-                    }
-                    0u64
-                } else {
-                    let raw = comm.ctrl_recv(0, Tag::user(1)).await.expect("token");
-                    let tok = RemoteToken::from_bytes(&raw).expect("token bytes");
-                    let dst = comm.alloc(eta);
-                    let off = if same_region { 0 } else { (rank - 1) * eta };
-                    let t0 = comm.time_ns();
-                    comm.cma_read(tok, off, dst, 0, eta).await.expect("read");
-                    let d = comm.time_ns() - t0;
-                    comm.notify(0, Tag::user(2)).await.expect("notify");
-                    d
-                }
+                one_to_all_body(&mut PolledComm::new(rank), readers, eta, same_region).await
             })
             .1
         }
     };
     durs.iter().skip(1).map(|&d| d as f64).collect()
+}
+
+/// One rank of [`one_to_all_read_lats`]: rank 0 exposes its buffer and
+/// waits for every reader; reader `r` returns its read latency.
+async fn one_to_all_body<C: kacc_comm::AsyncComm + ?Sized>(
+    comm: &mut C,
+    readers: usize,
+    eta: usize,
+    same_region: bool,
+) -> u64 {
+    let me = comm.rank();
+    if me == 0 {
+        let len = if same_region { eta } else { eta * readers };
+        let buf = comm.alloc(len);
+        let tok = comm.expose(buf).await.expect("expose");
+        for r in 1..=readers {
+            comm.ctrl_send(r, Tag::user(1), &tok.to_bytes())
+                .await
+                .expect("send");
+        }
+        for r in 1..=readers {
+            comm.ctrl_recv(r, Tag::user(2)).await.expect("done");
+        }
+        0
+    } else {
+        let raw = comm.ctrl_recv(0, Tag::user(1)).await.expect("token");
+        let tok = RemoteToken::from_bytes(&raw).expect("token bytes");
+        let dst = comm.alloc(eta);
+        let off = if same_region { 0 } else { (me - 1) * eta };
+        let t0 = comm.time_ns();
+        comm.cma_read(tok, off, dst, 0, eta).await.expect("read");
+        let d = comm.time_ns() - t0;
+        comm.ctrl_send(0, Tag::user(2), &[]).await.expect("notify");
+        d
+    }
 }
 
 /// Per-reader latency of the All-to-all access pattern: `pairs`
@@ -433,29 +393,29 @@ pub fn wake_storm_probe(
     iters: usize,
     engine: Engine,
 ) -> WakeStorm {
+    // Written once over `AsyncComm`, so both engines run the same body.
+    async fn body<C: kacc_comm::AsyncComm + ?Sized>(
+        comm: &mut C,
+        p: usize,
+        eta: usize,
+        iters: usize,
+    ) {
+        let sb = comm.alloc(eta);
+        let rb = comm.alloc(p * eta);
+        for _ in 0..iters {
+            smcoll::sm_barrier_async(comm).await.expect("barrier");
+            allgather_async(comm, AllgatherAlgo::Bruck, Some(sb), rb, eta)
+                .await
+                .expect("allgather");
+        }
+    }
     let run = match engine {
         Engine::Threads => {
-            run_team_phantom(arch, p, move |comm| {
-                let sb = comm.alloc(eta);
-                let rb = comm.alloc(p * eta);
-                for _ in 0..iters {
-                    smcoll::sm_barrier(comm).expect("barrier");
-                    allgather(comm, AllgatherAlgo::Bruck, Some(sb), rb, eta).expect("allgather");
-                }
-            })
-            .0
+            run_team_phantom(arch, p, move |comm| block_on(body(comm, p, eta, iters))).0
         }
         Engine::Polled => {
             run_polled_team_phantom(arch, p, move |rank| async move {
-                let mut comm = PolledComm::new(rank);
-                let sb = comm.alloc(eta);
-                let rb = comm.alloc(p * eta);
-                for _ in 0..iters {
-                    sm_barrier_polled(&mut comm).await.expect("barrier");
-                    allgather_polled(&mut comm, AllgatherAlgo::Bruck, Some(sb), rb, eta)
-                        .await
-                        .expect("allgather");
-                }
+                body(&mut PolledComm::new(rank), p, eta, iters).await
             })
             .0
         }

@@ -6,9 +6,11 @@
 //! for equivalence tests.
 
 use crate::class;
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{execute_async, Bindings, ScheduleReport};
 use crate::schedule::{compile_allgather, PlanCache, PlanKey};
-use kacc_comm::{smcoll, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{
+    block_on, smcoll, AsyncComm, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag,
+};
 
 /// Allgather algorithm selection (§V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,9 +64,21 @@ pub fn allgather_with_report<C: Comm + ?Sized>(
     recvbuf: BufId,
     count: usize,
 ) -> Result<Option<ScheduleReport>> {
+    block_on(allgather_async(comm, algo, sendbuf, recvbuf, count))
+}
+
+/// [`allgather_with_report`] over any [`AsyncComm`] endpoint: the one
+/// compiled allgather body both engines run.
+pub async fn allgather_async<C: AsyncComm + ?Sized>(
+    comm: &mut C,
+    algo: AllgatherAlgo,
+    sendbuf: Option<BufId>,
+    recvbuf: BufId,
+    count: usize,
+) -> Result<Option<ScheduleReport>> {
     let p = comm.size();
     let me = comm.rank();
-    if !validate(comm, sendbuf, recvbuf, count)? {
+    if !validate(comm, sendbuf, recvbuf, count).await? {
         return Ok(None);
     }
     // Normalize the ring stride mod p so equivalent strides share a plan.
@@ -89,19 +103,15 @@ pub fn allgather_with_report<C: Comm + ?Sized>(
         },
         || compile_allgather(algo, p, me, count, sendbuf.is_some()),
     );
-    execute(
-        comm,
-        &plan,
-        &Bindings {
-            send: sendbuf,
-            recv: Some(recvbuf),
-        },
-    )
-    .map(Some)
+    let bind = Bindings {
+        send: sendbuf,
+        recv: Some(recvbuf),
+    };
+    execute_async(comm, &plan, &bind).await.map(Some)
 }
 
 /// Shared validation; `Ok(false)` means the degenerate case was handled.
-fn validate<C: Comm + ?Sized>(
+async fn validate<C: AsyncComm + ?Sized>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: BufId,
@@ -121,7 +131,7 @@ fn validate<C: Comm + ?Sized>(
     }
     if count == 0 || p == 1 {
         if let (Some(sb), true) = (sendbuf, count > 0) {
-            comm.copy_local(sb, 0, recvbuf, me * count, count)?;
+            comm.copy_local(sb, 0, recvbuf, me * count, count).await?;
         }
         return Ok(false);
     }
@@ -139,7 +149,7 @@ pub fn allgather_legacy<C: Comm + ?Sized>(
     count: usize,
 ) -> Result<()> {
     let p = comm.size();
-    if !validate(comm, sendbuf, recvbuf, count)? {
+    if !block_on(validate(comm, sendbuf, recvbuf, count))? {
         return Ok(());
     }
     match algo {

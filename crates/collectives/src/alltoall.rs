@@ -6,9 +6,9 @@
 //! implementation for the traffic-equivalence tests.
 
 use crate::class;
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{execute_async, Bindings, ScheduleReport};
 use crate::schedule::{compile_alltoall, PlanCache, PlanKey};
-use kacc_comm::{smcoll, BufId, Comm, CommError, RemoteToken, Result, Tag};
+use kacc_comm::{block_on, smcoll, AsyncComm, BufId, Comm, CommError, RemoteToken, Result, Tag};
 
 /// Alltoall algorithm selection (§IV-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,12 +58,24 @@ pub fn alltoall_with_report<C: Comm + ?Sized>(
     recvbuf: BufId,
     count: usize,
 ) -> Result<Option<ScheduleReport>> {
-    if !prepare(comm, sendbuf, recvbuf, count)? {
+    block_on(alltoall_async(comm, algo, sendbuf, recvbuf, count))
+}
+
+/// [`alltoall_with_report`] over any [`AsyncComm`] endpoint: the one
+/// compiled alltoall body both engines run.
+pub async fn alltoall_async<C: AsyncComm + ?Sized>(
+    comm: &mut C,
+    algo: AlltoallAlgo,
+    sendbuf: Option<BufId>,
+    recvbuf: BufId,
+    count: usize,
+) -> Result<Option<ScheduleReport>> {
+    if !prepare(comm, sendbuf, recvbuf, count).await? {
         return Ok(None);
     }
     let p = comm.size();
     let me = comm.rank();
-    let (source, staged) = stage_in_place(comm, sendbuf, recvbuf, count)?;
+    let (source, staged) = stage_in_place(comm, sendbuf, recvbuf, count).await?;
     let plan = PlanCache::global().get_or_compile(
         PlanKey::Alltoall {
             algo,
@@ -73,14 +85,11 @@ pub fn alltoall_with_report<C: Comm + ?Sized>(
         },
         || compile_alltoall(algo, p, me, count),
     );
-    let result = execute(
-        comm,
-        &plan,
-        &Bindings {
-            send: Some(source),
-            recv: Some(recvbuf),
-        },
-    );
+    let bind = Bindings {
+        send: Some(source),
+        recv: Some(recvbuf),
+    };
+    let result = execute_async(comm, &plan, &bind).await;
     if let Some(tmp) = staged {
         comm.free(tmp)?;
     }
@@ -89,7 +98,7 @@ pub fn alltoall_with_report<C: Comm + ?Sized>(
 
 /// Validation and degenerate-case handling shared by the compiled and
 /// legacy paths. Returns `false` when nothing is left to do.
-fn prepare<C: Comm + ?Sized>(
+async fn prepare<C: AsyncComm + ?Sized>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: BufId,
@@ -122,7 +131,7 @@ fn prepare<C: Comm + ?Sized>(
     }
     if p == 1 {
         if let Some(sb) = sendbuf {
-            comm.copy_local(sb, 0, recvbuf, 0, count)?;
+            comm.copy_local(sb, 0, recvbuf, 0, count).await?;
         }
         return Ok(false);
     }
@@ -131,7 +140,7 @@ fn prepare<C: Comm + ?Sized>(
 
 /// MPI_IN_PLACE: stage the outgoing blocks so concurrent peers never
 /// observe half-overwritten source data.
-fn stage_in_place<C: Comm + ?Sized>(
+async fn stage_in_place<C: AsyncComm + ?Sized>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: BufId,
@@ -142,7 +151,7 @@ fn stage_in_place<C: Comm + ?Sized>(
         None => {
             let need = comm.size() * count;
             let tmp = comm.alloc(need);
-            comm.copy_local(recvbuf, 0, tmp, 0, need)?;
+            comm.copy_local(recvbuf, 0, tmp, 0, need).await?;
             Ok((tmp, Some(tmp)))
         }
     }
@@ -158,10 +167,10 @@ pub fn alltoall_legacy<C: Comm + ?Sized>(
     recvbuf: BufId,
     count: usize,
 ) -> Result<()> {
-    if !prepare(comm, sendbuf, recvbuf, count)? {
+    if !block_on(prepare(comm, sendbuf, recvbuf, count))? {
         return Ok(());
     }
-    let (source, staged) = stage_in_place(comm, sendbuf, recvbuf, count)?;
+    let (source, staged) = block_on(stage_in_place(comm, sendbuf, recvbuf, count))?;
     let result = match algo {
         AlltoallAlgo::Pairwise => pairwise(comm, source, recvbuf, count),
         AlltoallAlgo::PairwiseWrite => pairwise_write(comm, source, recvbuf, count),

@@ -5,10 +5,12 @@
 //! generic executor; `bcast_legacy` keeps the direct implementation for
 //! equivalence tests.
 
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{execute_async, Bindings, ScheduleReport};
 use crate::schedule::{compile_bcast, PlanCache, PlanKey};
 use crate::{class, unvrank, vrank};
-use kacc_comm::{smcoll, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{
+    block_on, smcoll, AsyncComm, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag,
+};
 
 /// Broadcast algorithm selection (§V-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,6 +57,18 @@ pub fn bcast_with_report<C: Comm + ?Sized>(
     count: usize,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
+    block_on(bcast_async(comm, algo, buf, count, root))
+}
+
+/// [`bcast_with_report`] over any [`AsyncComm`] endpoint: the one
+/// compiled broadcast body both engines run.
+pub async fn bcast_async<C: AsyncComm + ?Sized>(
+    comm: &mut C,
+    algo: BcastAlgo,
+    buf: BufId,
+    count: usize,
+    root: usize,
+) -> Result<Option<ScheduleReport>> {
     let p = comm.size();
     let me = comm.rank();
     if !validate(comm, buf, count, root)? {
@@ -75,19 +89,20 @@ pub fn bcast_with_report<C: Comm + ?Sized>(
         },
         || compile_bcast(algo, p, me, count, root),
     );
-    execute(
-        comm,
-        &plan,
-        &Bindings {
-            send: Some(buf),
-            recv: None,
-        },
-    )
-    .map(Some)
+    let bind = Bindings {
+        send: Some(buf),
+        recv: None,
+    };
+    execute_async(comm, &plan, &bind).await.map(Some)
 }
 
 /// Shared validation; `Ok(false)` means the degenerate case was handled.
-fn validate<C: Comm + ?Sized>(comm: &mut C, buf: BufId, count: usize, root: usize) -> Result<bool> {
+fn validate<C: AsyncComm + ?Sized>(
+    comm: &C,
+    buf: BufId,
+    count: usize,
+    root: usize,
+) -> Result<bool> {
     let p = comm.size();
     if root >= p {
         return Err(CommError::BadRank(root));

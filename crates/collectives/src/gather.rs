@@ -9,10 +9,12 @@
 //! and replay it through the generic executor; `gatherv_legacy` keeps
 //! the direct implementation for equivalence tests.
 
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{execute_async, Bindings, ScheduleReport};
 use crate::schedule::{compile_gather, PlanCache, PlanKey};
 use crate::{class, unvrank, vrank};
-use kacc_comm::{smcoll, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{
+    block_on, smcoll, AsyncComm, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag,
+};
 
 /// Gather algorithm selection (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,7 +81,23 @@ pub fn gatherv_with_report<C: Comm + ?Sized>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    let layout = match prepare(comm, sendbuf, recvbuf, counts, displs, root)? {
+    block_on(gatherv_async(
+        comm, algo, sendbuf, recvbuf, counts, displs, root,
+    ))
+}
+
+/// [`gatherv_with_report`] over any [`AsyncComm`] endpoint: the one
+/// compiled gather body both engines run.
+pub async fn gatherv_async<C: AsyncComm + ?Sized>(
+    comm: &mut C,
+    algo: GatherAlgo,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    counts: &[usize],
+    displs: Option<&[usize]>,
+    root: usize,
+) -> Result<Option<ScheduleReport>> {
+    let layout = match prepare(comm, sendbuf, recvbuf, counts, displs, root).await? {
         Prepared::Done => return Ok(None),
         Prepared::Run(layout) => layout,
     };
@@ -102,15 +120,11 @@ pub fn gatherv_with_report<C: Comm + ?Sized>(
         },
         || compile_gather(algo, p, me, &layout, root, sendbuf.is_some()),
     );
-    execute(
-        comm,
-        &plan,
-        &Bindings {
-            send: sendbuf,
-            recv: recvbuf,
-        },
-    )
-    .map(Some)
+    let bind = Bindings {
+        send: sendbuf,
+        recv: recvbuf,
+    };
+    execute_async(comm, &plan, &bind).await.map(Some)
 }
 
 /// Validation and degenerate-case handling shared by the compiled and
@@ -122,7 +136,7 @@ enum Prepared {
     Run(Vec<(usize, usize)>),
 }
 
-fn prepare<C: Comm + ?Sized>(
+async fn prepare<C: AsyncComm + ?Sized>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: Option<BufId>,
@@ -161,13 +175,12 @@ fn prepare<C: Comm + ?Sized>(
         return Err(CommError::Protocol("non-root gather needs sendbuf".into()));
     }
     if p == 1 {
-        root_self_copy(
-            comm,
-            recvbuf.expect("validated: root binds recvbuf"),
-            sendbuf,
-            &layout,
-            root,
-        )?;
+        // The root's own block (skipped under `MPI_IN_PLACE`).
+        let rb = recvbuf.expect("validated: root binds recvbuf");
+        let (off, len) = layout[root];
+        if let (Some(sb), true) = (sendbuf, len > 0) {
+            comm.copy_local(sb, 0, rb, off, len).await?;
+        }
         return Ok(Prepared::Done);
     }
     if counts.iter().all(|&c| c == 0) {
@@ -188,7 +201,7 @@ pub fn gatherv_legacy<C: Comm + ?Sized>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<()> {
-    let layout = match prepare(comm, sendbuf, recvbuf, counts, displs, root)? {
+    let layout = match block_on(prepare(comm, sendbuf, recvbuf, counts, displs, root))? {
         Prepared::Done => return Ok(()),
         Prepared::Run(layout) => layout,
     };

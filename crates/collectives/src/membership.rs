@@ -47,6 +47,11 @@
 //!    Survivor `i` of the sorted member list contributes and receives
 //!    block `i`, so parent-sized buffers always suffice.
 //!
+//! The loop and the agreement are written once as `async` code over
+//! [`AsyncComm`] ([`run_survivable_async`]): [`run_survivable`] drives it
+//! on a blocking endpoint with [`block_on`], and the polled simulator
+//! endpoint awaits it directly.
+//!
 //! Everything is deterministic under simulation: the same seed produces
 //! the same suspicions, the same agreed masks, the same shrink sequence,
 //! and bitwise-identical reports on both engines. A fault-free run
@@ -61,16 +66,15 @@
 use std::sync::{Arc, OnceLock};
 
 use kacc_comm::mask::{FLAG_NORESUME, FLAG_REDO};
-use kacc_comm::{BufId, Comm, CommError, MemberMask, Result, Topology};
-use kacc_machine::PolledComm;
+use kacc_comm::{block_on, AsyncComm, BufId, Comm, CommError, MemberMask, Result, Topology};
 use kacc_model::ArchProfile;
 use kacc_trace::{Tracer, Track};
 
 use crate::exec::{
-    execute_resumable, execute_with_policy, proto, Bindings, MembershipPolicy, RecoveryPolicy,
-    ResumeState, ScheduleReport,
+    execute_resumable, execute_with_policy_async, proto, Bindings, MembershipPolicy,
+    RecoveryPolicy, ResumeState, ScheduleReport,
 };
-use crate::polled::{abandon_polled, execute_polled_with_policy, execute_resumable_polled};
+use crate::scatter::build_layout;
 use crate::schedule::{
     compile_agree, compile_agree_split, compile_allgather, compile_alltoall, compile_bcast,
     compile_gather, compile_reduce, compile_scatter, remap_for_members, PlanCache, PlanKey,
@@ -428,32 +432,48 @@ fn member_plan(
             .ok_or(CommError::PeerDead(r))?,
         None => 0,
     };
-    let inner = match *op {
-        SurvivableOp::Scatter { algo, count, .. } => PlanKey::Scatter {
-            algo,
-            p: l,
-            rank: my_idx,
-            counts: vec![count; l],
-            displs: None,
-            root: root_idx,
-            has_recvbuf: has_recv,
-        },
-        SurvivableOp::Gather { algo, count, .. } => PlanKey::Gather {
-            algo,
-            p: l,
-            rank: my_idx,
-            counts: vec![count; l],
-            displs: None,
-            root: root_idx,
-            has_sendbuf: has_send,
-        },
-        SurvivableOp::Bcast { algo, count, .. } => PlanKey::Bcast {
-            algo,
-            p: l,
-            rank: my_idx,
-            count,
-            root: root_idx,
-        },
+    // Each arm yields the plain entry point's key for the survivor
+    // subgroup and the compile call that key stands for.
+    let (inner, compile): (PlanKey, Box<dyn FnOnce() -> Schedule>) = match *op {
+        SurvivableOp::Scatter { algo, count, .. } => {
+            let layout = build_layout(&vec![count; l], None);
+            let key = PlanKey::Scatter {
+                algo,
+                p: l,
+                rank: my_idx,
+                counts: vec![count; l],
+                displs: None,
+                root: root_idx,
+                has_recvbuf: has_recv,
+            };
+            let compile = move || compile_scatter(algo, l, my_idx, &layout, root_idx, has_recv);
+            (key, Box::new(compile))
+        }
+        SurvivableOp::Gather { algo, count, .. } => {
+            let layout = build_layout(&vec![count; l], None);
+            let key = PlanKey::Gather {
+                algo,
+                p: l,
+                rank: my_idx,
+                counts: vec![count; l],
+                displs: None,
+                root: root_idx,
+                has_sendbuf: has_send,
+            };
+            let compile = move || compile_gather(algo, l, my_idx, &layout, root_idx, has_send);
+            (key, Box::new(compile))
+        }
+        SurvivableOp::Bcast { algo, count, .. } => {
+            let key = PlanKey::Bcast {
+                algo,
+                p: l,
+                rank: my_idx,
+                count,
+                root: root_idx,
+            };
+            let compile = move || compile_bcast(algo, l, my_idx, count, root_idx);
+            (key, Box::new(compile))
+        }
         SurvivableOp::Allgather { algo, count } => {
             let algo = match algo {
                 AllgatherAlgo::RingNeighbor { j } => {
@@ -466,106 +486,47 @@ fn member_plan(
                 }
                 other => other,
             };
-            PlanKey::Allgather {
+            let key = PlanKey::Allgather {
                 algo,
                 p: l,
                 rank: my_idx,
                 count,
                 has_sendbuf: has_send,
-            }
+            };
+            let compile = move || compile_allgather(algo, l, my_idx, count, has_send);
+            (key, Box::new(compile))
         }
-        SurvivableOp::Alltoall { algo, count } => PlanKey::Alltoall {
-            algo,
-            p: l,
-            rank: my_idx,
-            count,
-        },
+        SurvivableOp::Alltoall { algo, count } => {
+            let key = PlanKey::Alltoall {
+                algo,
+                p: l,
+                rank: my_idx,
+                count,
+            };
+            (
+                key,
+                Box::new(move || compile_alltoall(algo, l, my_idx, count)),
+            )
+        }
         SurvivableOp::Reduce {
             algo,
             count,
             dtype,
             op,
             ..
-        } => PlanKey::Reduce {
-            algo,
-            p: l,
-            rank: my_idx,
-            count,
-            dtype,
-            op,
-            root: root_idx,
-        },
-    };
-    let inner_for_compile = inner.clone();
-    let compile = move || match inner_for_compile {
-        PlanKey::Scatter {
-            algo,
-            p,
-            rank,
-            ref counts,
-            root,
-            has_recvbuf,
-            ..
         } => {
-            let layout: Vec<(usize, usize)> = counts
-                .iter()
-                .scan(0, |off, &c| {
-                    let entry = (*off, c);
-                    *off += c;
-                    Some(entry)
-                })
-                .collect();
-            compile_scatter(algo, p, rank, &layout, root, has_recvbuf)
+            let key = PlanKey::Reduce {
+                algo,
+                p: l,
+                rank: my_idx,
+                count,
+                dtype,
+                op,
+                root: root_idx,
+            };
+            let compile = move || compile_reduce(algo, l, my_idx, count, dtype, op, root_idx);
+            (key, Box::new(compile))
         }
-        PlanKey::Gather {
-            algo,
-            p,
-            rank,
-            ref counts,
-            root,
-            has_sendbuf,
-            ..
-        } => {
-            let layout: Vec<(usize, usize)> = counts
-                .iter()
-                .scan(0, |off, &c| {
-                    let entry = (*off, c);
-                    *off += c;
-                    Some(entry)
-                })
-                .collect();
-            compile_gather(algo, p, rank, &layout, root, has_sendbuf)
-        }
-        PlanKey::Bcast {
-            algo,
-            p,
-            rank,
-            count,
-            root,
-        } => compile_bcast(algo, p, rank, count, root),
-        PlanKey::Allgather {
-            algo,
-            p,
-            rank,
-            count,
-            has_sendbuf,
-        } => compile_allgather(algo, p, rank, count, has_sendbuf),
-        PlanKey::Alltoall {
-            algo,
-            p,
-            rank,
-            count,
-        } => compile_alltoall(algo, p, rank, count),
-        PlanKey::Reduce {
-            algo,
-            p,
-            rank,
-            count,
-            dtype,
-            op,
-            root,
-        } => compile_reduce(algo, p, rank, count, dtype, op, root),
-        PlanKey::Member { .. } => unreachable!("inner keys are never Member"),
     };
 
     Ok(if epoch == 0 {
@@ -718,9 +679,9 @@ fn fold_ballots(
     union
 }
 
-/// Three-round suspected-dead agreement over `members` (threads
-/// engine): two gossip-and-refute rounds ([`fold_round`]) followed by a
-/// pure ballot round ([`fold_ballots`]). Returns the union of every
+/// Three-round suspected-dead agreement over `members`: two
+/// gossip-and-refute rounds ([`fold_round`]) followed by a pure ballot
+/// round ([`fold_ballots`]). Returns the union of every
 /// member's final ballot. Never blocks forever: every receive is
 /// bounded and failures are tolerated.
 ///
@@ -764,7 +725,7 @@ fn fold_ballots(
 /// loss. The floor only burns time when a slot is genuinely silent
 /// that long, so the steady-state failure cost is unchanged.
 #[allow(clippy::too_many_arguments)]
-fn agree<C: Comm + ?Sized>(
+async fn agree<C: AsyncComm + ?Sized>(
     comm: &mut C,
     members: &[usize],
     epoch: u32,
@@ -809,7 +770,7 @@ fn agree<C: Comm + ?Sized>(
     let mut deadline = a0.max(w0_floor);
     for r in 0..3u32 {
         let t_round = comm.time_ns();
-        let step = (|| {
+        let step: Result<MemberMask> = async {
             let wire = cur.to_bytes();
             comm.write_local(send, 0, &wire)?;
             comm.write_local(recv, 0, &vec![0u8; width * l])?;
@@ -820,10 +781,12 @@ fn agree<C: Comm + ?Sized>(
                 send: Some(send),
                 recv: Some(recv),
             };
-            execute_with_policy(comm, &live_plan, &bind, tracer, &agree_policy(m, deadline))?;
+            let live_pol = agree_policy(m, deadline);
+            execute_with_policy_async(comm, &live_plan, &bind, tracer, &live_pol).await?;
             if !susp_plan.steps.is_empty() {
                 let cap = if r < 2 { a0.saturating_mul(2) } else { a0 };
-                execute_with_policy(comm, &susp_plan, &bind, tracer, &agree_policy(m, cap))?;
+                let susp_pol = agree_policy(m, cap);
+                execute_with_policy_async(comm, &susp_plan, &bind, tracer, &susp_pol).await?;
             }
             let mut bytes = vec![0u8; width * l];
             comm.read_local(recv, 0, &mut bytes)?;
@@ -832,7 +795,8 @@ fn agree<C: Comm + ?Sized>(
             } else {
                 fold_ballots(&cur, members, me, &bytes, width, p)
             })
-        })();
+        }
+        .await;
         match step {
             Ok(next) => {
                 deadline = comm
@@ -854,118 +818,7 @@ fn agree<C: Comm + ?Sized>(
     out.map(|mask| (mask, deadline.min(a0.saturating_mul(16))))
 }
 
-/// Three-round suspected-dead agreement over `members` — the polled
-/// twin of [`agree`], transliterated operation for operation (same
-/// adaptive deadlines, same tag namespace, same folds).
-#[allow(clippy::too_many_arguments)]
-async fn agree_polled(
-    comm: &mut PolledComm,
-    members: &[usize],
-    epoch: u32,
-    base_round: u32,
-    suspected: &MemberMask,
-    m: &MembershipPolicy,
-    retries: u32,
-    liveness: u64,
-    w0_floor: u64,
-    tracer: &Tracer,
-) -> Result<(MemberMask, u64)> {
-    let p = comm.size();
-    let me = comm.rank();
-    let l = members.len();
-    let my_idx = members
-        .iter()
-        .position(|&x| x == me)
-        .ok_or_else(|| proto("caller is not a surviving member".into()))?;
-    let width = MemberMask::wire_len(p);
-    let send = comm.alloc(width);
-    let recv = comm.alloc(width * l);
-    let mut cur = suspected.clone();
-    let mut out: Result<MemberMask> = Ok(cur.clone());
-    // Same two-part rounds (wide window for live slots, round-shaped
-    // flat cap for suspected slots), window growth, and skew-hint floor
-    // as the threads twin (see [`agree`] for the sizing argument).
-    let a0 = liveness.saturating_mul(u64::from(retries) + 3);
-    let mut deadline = a0.max(w0_floor);
-    for r in 0..3u32 {
-        let t_round = comm.time_ns();
-        let step: Result<MemberMask> = {
-            let wire = cur.to_bytes();
-            let setup = comm
-                .write_local(send, 0, &wire)
-                .and_then(|()| comm.write_local(recv, 0, &vec![0u8; width * l]))
-                .and_then(|()| comm.write_local(recv, width * my_idx, &wire));
-            match setup {
-                Err(e) => Err(e),
-                Ok(()) => {
-                    let (live_plan, susp_plan) =
-                        compile_agree_split(p, me, members, epoch, base_round + r, width, &cur);
-                    let bind = Bindings {
-                        send: Some(send),
-                        recv: Some(recv),
-                    };
-                    let run = async {
-                        execute_polled_with_policy(
-                            comm,
-                            &live_plan,
-                            &bind,
-                            tracer,
-                            &agree_policy(m, deadline),
-                        )
-                        .await?;
-                        if !susp_plan.steps.is_empty() {
-                            let cap = if r < 2 { a0.saturating_mul(2) } else { a0 };
-                            execute_polled_with_policy(
-                                comm,
-                                &susp_plan,
-                                &bind,
-                                tracer,
-                                &agree_policy(m, cap),
-                            )
-                            .await?;
-                        }
-                        Ok(())
-                    };
-                    match run.await {
-                        Err(e) => Err(e),
-                        Ok(()) => {
-                            let mut bytes = vec![0u8; width * l];
-                            match comm.read_local(recv, 0, &mut bytes) {
-                                Err(e) => Err(e),
-                                Ok(()) => Ok(if r < 2 {
-                                    fold_round(&cur, members, me, &bytes, width, p)
-                                } else {
-                                    fold_ballots(&cur, members, me, &bytes, width, p)
-                                }),
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        match step {
-            Ok(next) => {
-                deadline = comm
-                    .time_ns()
-                    .saturating_sub(t_round)
-                    .saturating_add(deadline)
-                    .saturating_add(a0.saturating_mul(2));
-                cur = next;
-                out = Ok(cur.clone());
-            }
-            Err(e) => {
-                out = Err(e);
-                break;
-            }
-        }
-    }
-    let _ = comm.free(send);
-    let _ = comm.free(recv);
-    out.map(|mask| (mask, deadline.min(a0.saturating_mul(16))))
-}
-
-/// Run `op` survivably on the threads/blocking engine: detect peer
-/// death, agree on the survivors, then either *resume* the torn plan
+/// Run `op` survivably on a blocking endpoint: detect peer death, agree on the survivors, then either *resume* the torn plan
 /// from each rank's watermark (membership unchanged) or shrink and
 /// re-execute, until the collective completes over a stable membership
 /// or a typed error (exile, dead root, quorum loss, shrink budget)
@@ -973,6 +826,19 @@ async fn agree_polled(
 /// deadline-bounded, and a peer dying *inside* the agreement folds into
 /// the suspect set and restarts the agreement under fresh tags.
 pub fn run_survivable<C: Comm + ?Sized>(
+    comm: &mut C,
+    op: &SurvivableOp,
+    send: Option<BufId>,
+    recv: Option<BufId>,
+    policy: &RecoveryPolicy,
+) -> Result<SurvivableOutcome> {
+    block_on(run_survivable_async(comm, op, send, recv, policy))
+}
+
+/// The one survivable loop behind [`run_survivable`], over any
+/// [`AsyncComm`] endpoint (also exported as
+/// [`run_survivable_polled`](crate::run_survivable_polled)).
+pub async fn run_survivable_async<C: AsyncComm + ?Sized>(
     comm: &mut C,
     op: &SurvivableOp,
     send: Option<BufId>,
@@ -1070,7 +936,7 @@ pub fn run_survivable<C: Comm + ?Sized>(
             Ok(report)
         } else {
             let (res, report) =
-                execute_resumable(comm, &plan, &bind, &tracer, &pol, &mut resume_state);
+                execute_resumable(comm, &plan, &bind, &tracer, &pol, &mut resume_state).await;
             obs_p99 = obs_p99.max(report.step_p99_ns);
             res.map(|()| report)
         };
@@ -1116,7 +982,9 @@ pub fn run_survivable<C: Comm + ?Sized>(
                 agree_liveness,
                 skew_hint,
                 &tracer,
-            ) {
+            )
+            .await
+            {
                 Ok((mask, hint)) => {
                     skew_hint = hint;
                     agreed = Some(mask);
@@ -1205,7 +1073,7 @@ pub fn run_survivable<C: Comm + ?Sized>(
         }
         member_handles().shrinks.add(1);
         let t0 = comm.time_ns();
-        comm.sleep_ns(m.restart_backoff_ns);
+        comm.sleep_ns(m.restart_backoff_ns).await;
         PlanCache::global().invalidate_members_before(epoch);
         tracer.span(
             Track::Rank(me),
@@ -1229,241 +1097,6 @@ pub fn run_survivable<C: Comm + ?Sized>(
         // is meaningless, and completed ranks must re-execute too.
         if let Some(st) = resume_state.take() {
             st.abandon(comm);
-        }
-        done = None;
-        iter += 1;
-        aiter = 0;
-    }
-}
-
-/// Run `op` survivably on the polled engine — the twin of
-/// [`run_survivable`], transliterated one operation at a time so a
-/// polled survivable call is bitwise-identical (same virtual times,
-/// same reports, same shrink sequence) to the threads call.
-pub async fn run_survivable_polled(
-    comm: &mut PolledComm,
-    op: &SurvivableOp,
-    send: Option<BufId>,
-    recv: Option<BufId>,
-    policy: &RecoveryPolicy,
-) -> Result<SurvivableOutcome> {
-    let p = comm.size();
-    let me = comm.rank();
-    validate(op, p, me, send, recv)?;
-    let m = effective_membership(policy);
-    let bind = bindings_for(op, send, recv);
-    let tracer = comm.tracer();
-    let tuner = Tuner::new(&arch_for(&comm.topology()));
-    let resume_cap = m.max_shrinks.min(15);
-    let mut dead = MemberMask::new(p);
-    let mut epoch = 0u32;
-    let mut iter = 0u32;
-    let mut aiter = 0u32;
-    let mut resumes = 0u32;
-    let mut obs_p99 = 0u64;
-    // Exit-skew hint threaded between successive agreements: a rank can
-    // leave an agreement up to one final window late when a peer died
-    // mid-fan-out, and the next agreement's round 0 must still hear it.
-    let mut skew_hint = 0u64;
-    let mut resume_state: Option<ResumeState> = None;
-    let mut done: Option<ScheduleReport> = None;
-    let mut mrep = MembershipReport::default();
-    macro_rules! bail {
-        ($e:expr) => {{
-            if let Some(st) = resume_state.take() {
-                abandon_polled(comm, st);
-            }
-            return Err($e);
-        }};
-    }
-    loop {
-        if dead.get(me) {
-            bail!(CommError::PeerDead(me));
-        }
-        if let Some(r) = op.root() {
-            if dead.get(r) {
-                bail!(CommError::PeerDead(r));
-            }
-        }
-        let members = survivor_list(&dead, p);
-        if members.len() * 2 <= p {
-            bail!(proto(format!(
-                "membership lost quorum: {}/{p} survivors",
-                members.len()
-            )));
-        }
-        let l = members.len();
-        let plan = match member_plan(op, p, me, &members, epoch, send.is_some(), recv.is_some()) {
-            Ok(plan) => plan,
-            Err(e) => bail!(e),
-        };
-        let liveness = adaptive_liveness(&m, tuner.cost_schedule(&plan, l) as u64, obs_p99);
-        let agree_liveness = adaptive_liveness(
-            &m,
-            tuner.cost_schedule(
-                &compile_agree(p, me, &members, epoch, 0, MemberMask::wire_len(p)),
-                l,
-            ) as u64,
-            obs_p99,
-        )
-        .max(liveness);
-        let mut pol = *policy;
-        pol.membership = MembershipPolicy {
-            watch: true,
-            tolerant: false,
-            liveness_timeout_ns: liveness,
-            ..m
-        };
-        let t_exec = comm.time_ns();
-        let exec: Result<ScheduleReport> = if let Some(report) = done {
-            Ok(report)
-        } else {
-            let (res, report) =
-                execute_resumable_polled(comm, &plan, &bind, &tracer, &pol, &mut resume_state)
-                    .await;
-            obs_p99 = obs_p99.max(report.step_p99_ns);
-            res.map(|()| report)
-        };
-        let exec_ns = comm.time_ns().saturating_sub(t_exec);
-        let mut own = dead.clone();
-        match &exec {
-            Ok(_) => {
-                if iter > 0 {
-                    mrep.reexec_ns += exec_ns;
-                }
-            }
-            Err(CommError::PeerDead(q)) => {
-                mrep.detect_ns += exec_ns;
-                if *q < p {
-                    own.set(*q);
-                }
-                own.set_flag(FLAG_REDO);
-                if resumes >= resume_cap {
-                    own.set_flag(FLAG_NORESUME);
-                }
-            }
-            Err(e) => bail!(e.clone()),
-        }
-        let t0 = comm.time_ns();
-        let mut agreed: Option<MemberMask> = None;
-        for attempt in 0..MAX_AGREE_ATTEMPTS {
-            let base_round = aiter * 12 + attempt * 3;
-            match agree_polled(
-                comm,
-                &members,
-                epoch,
-                base_round,
-                &own,
-                &m,
-                policy.max_retries,
-                agree_liveness,
-                skew_hint,
-                &tracer,
-            )
-            .await
-            {
-                Ok((mask, hint)) => {
-                    skew_hint = hint;
-                    agreed = Some(mask);
-                    break;
-                }
-                Err(CommError::PeerDead(q)) => {
-                    if q < p {
-                        own.set(q);
-                    }
-                    own.set_flag(FLAG_REDO);
-                }
-                Err(e) => bail!(e),
-            }
-        }
-        let Some(agreed) = agreed else {
-            bail!(proto(format!(
-                "membership agreement failed after {MAX_AGREE_ATTEMPTS} attempts"
-            )));
-        };
-        let agree_ns = comm.time_ns().saturating_sub(t0);
-        mrep.agreements += 1;
-        mrep.agree_ns += agree_ns;
-        member_handles().agreements.add(1);
-        tracer.span(
-            Track::Rank(me),
-            "membership:agree",
-            t0,
-            agree_ns as f64,
-            agreed.low64(),
-            Some(class::MEMBERSHIP),
-        );
-        let mut newly = agreed.clone();
-        newly.subtract(&dead);
-        if newly.is_empty() && !agreed.has_flag(FLAG_REDO) {
-            let report = match exec {
-                Ok(report) => report,
-                Err(_) => unreachable!("a failed execution always raises the redo flag"),
-            };
-            mrep.dead_mask = dead.low64();
-            let h = member_handles();
-            h.detect_ns.record(mrep.detect_ns);
-            h.agree_ns.record(mrep.agree_ns);
-            h.reexec_ns.record(mrep.reexec_ns);
-            return Ok(SurvivableOutcome {
-                report,
-                membership: mrep,
-                members,
-            });
-        }
-        if newly.is_empty() && !agreed.has_flag(FLAG_NORESUME) && resumes < resume_cap {
-            resumes += 1;
-            mrep.resumes += 1;
-            member_handles().resumes.add(1);
-            done = exec.ok();
-            tracer.span(
-                Track::Rank(me),
-                "membership:resume",
-                comm.time_ns(),
-                0.0,
-                u64::from(resumes),
-                Some(class::MEMBERSHIP),
-            );
-            iter += 1;
-            aiter += 1;
-            continue;
-        }
-        dead = agreed.clone();
-        dead.clear_flag(FLAG_REDO);
-        dead.clear_flag(FLAG_NORESUME);
-        epoch += 1;
-        mrep.epochs = epoch;
-        mrep.dead_mask = dead.low64();
-        if epoch > m.max_shrinks.min(15) {
-            bail!(proto(format!(
-                "membership exceeded {} shrinks",
-                m.max_shrinks.min(15)
-            )));
-        }
-        member_handles().shrinks.add(1);
-        let t0 = comm.time_ns();
-        comm.sleep_ns(m.restart_backoff_ns).await;
-        PlanCache::global().invalidate_members_before(epoch);
-        tracer.span(
-            Track::Rank(me),
-            "membership:shrink",
-            t0,
-            comm.time_ns().saturating_sub(t0) as f64,
-            dead.low64(),
-            Some(class::MEMBERSHIP),
-        );
-        mrep.reexecs += 1;
-        member_handles().reexecs.add(1);
-        tracer.span(
-            Track::Rank(me),
-            "membership:reexec",
-            comm.time_ns(),
-            0.0,
-            u64::from(epoch),
-            Some(class::MEMBERSHIP),
-        );
-        if let Some(st) = resume_state.take() {
-            abandon_polled(comm, st);
         }
         done = None;
         iter += 1;

@@ -21,10 +21,10 @@
 //! [`allreduce`] composes these with the Bcast designs.
 
 use crate::bcast::{bcast, BcastAlgo};
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{execute_async, Bindings, ScheduleReport};
 use crate::schedule::{compile_reduce, PlanCache, PlanKey};
 use crate::{class, unvrank, vrank};
-use kacc_comm::{BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{block_on, AsyncComm, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
 
 /// Element type of a reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,7 +172,25 @@ pub fn reduce_with_report<C: Comm + ?Sized>(
     op: ReduceOp,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    if !prepare(comm, algo, sendbuf, recvbuf, count, dtype, root)? {
+    block_on(reduce_async(
+        comm, algo, sendbuf, recvbuf, count, dtype, op, root,
+    ))
+}
+
+/// [`reduce_with_report`] over any [`AsyncComm`] endpoint: the one
+/// compiled reduce body both engines run.
+#[allow(clippy::too_many_arguments)]
+pub async fn reduce_async<C: AsyncComm + ?Sized>(
+    comm: &mut C,
+    algo: ReduceAlgo,
+    sendbuf: BufId,
+    recvbuf: Option<BufId>,
+    count: usize,
+    dtype: Dtype,
+    op: ReduceOp,
+    root: usize,
+) -> Result<Option<ScheduleReport>> {
+    if !prepare(comm, algo, sendbuf, recvbuf, count, dtype, root).await? {
         return Ok(None);
     }
     let p = comm.size();
@@ -189,20 +207,16 @@ pub fn reduce_with_report<C: Comm + ?Sized>(
         },
         || compile_reduce(algo, p, me, count, dtype, op, root),
     );
-    execute(
-        comm,
-        &plan,
-        &Bindings {
-            send: Some(sendbuf),
-            recv: recvbuf,
-        },
-    )
-    .map(Some)
+    let bind = Bindings {
+        send: Some(sendbuf),
+        recv: recvbuf,
+    };
+    execute_async(comm, &plan, &bind).await.map(Some)
 }
 
 /// Validation and degenerate-case handling shared by the compiled and
 /// legacy paths. Returns `false` when nothing is left to do.
-fn prepare<C: Comm + ?Sized>(
+async fn prepare<C: AsyncComm + ?Sized>(
     comm: &mut C,
     algo: ReduceAlgo,
     sendbuf: BufId,
@@ -234,7 +248,7 @@ fn prepare<C: Comm + ?Sized>(
     }
     if p == 1 {
         let rb = recvbuf.expect("validated: root binds recvbuf");
-        comm.copy_local(sendbuf, 0, rb, 0, count)?;
+        comm.copy_local(sendbuf, 0, rb, 0, count).await?;
         return Ok(false);
     }
     Ok(true)
@@ -254,7 +268,7 @@ pub fn reduce_legacy<C: Comm + ?Sized>(
     op: ReduceOp,
     root: usize,
 ) -> Result<()> {
-    if !prepare(comm, algo, sendbuf, recvbuf, count, dtype, root)? {
+    if !block_on(prepare(comm, algo, sendbuf, recvbuf, count, dtype, root))? {
         return Ok(());
     }
     match algo {

@@ -6,10 +6,12 @@
 //! executor. `scatterv_legacy` keeps the original direct implementation
 //! for the traffic-equivalence tests.
 
-use crate::exec::{execute, Bindings, ScheduleReport};
+use crate::exec::{execute_async, Bindings, ScheduleReport};
 use crate::schedule::{compile_scatter, PlanCache, PlanKey};
 use crate::{class, unvrank, vrank};
-use kacc_comm::{smcoll, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag};
+use kacc_comm::{
+    block_on, smcoll, AsyncComm, BufId, Comm, CommError, CommExt, RemoteToken, Result, Tag,
+};
 
 /// Scatter algorithm selection (§IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,7 +82,37 @@ pub fn scatterv_with_report<C: Comm + ?Sized>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<Option<ScheduleReport>> {
-    let layout = match prepare(comm, sendbuf, recvbuf, counts, displs, root)? {
+    block_on(scatterv_async(
+        comm, algo, sendbuf, recvbuf, counts, displs, root,
+    ))
+}
+
+/// [`scatter`](fn@scatter) over any [`AsyncComm`] endpoint, returning
+/// the executor's report like [`scatterv_async`].
+pub async fn scatter_async<C: AsyncComm + ?Sized>(
+    comm: &mut C,
+    algo: ScatterAlgo,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    count: usize,
+    root: usize,
+) -> Result<Option<ScheduleReport>> {
+    let counts = vec![count; comm.size()];
+    scatterv_async(comm, algo, sendbuf, recvbuf, &counts, None, root).await
+}
+
+/// [`scatterv_with_report`] over any [`AsyncComm`] endpoint: the one
+/// compiled scatter body both engines run.
+pub async fn scatterv_async<C: AsyncComm + ?Sized>(
+    comm: &mut C,
+    algo: ScatterAlgo,
+    sendbuf: Option<BufId>,
+    recvbuf: Option<BufId>,
+    counts: &[usize],
+    displs: Option<&[usize]>,
+    root: usize,
+) -> Result<Option<ScheduleReport>> {
+    let layout = match prepare(comm, sendbuf, recvbuf, counts, displs, root).await? {
         Prepared::Done => return Ok(None),
         Prepared::Run(layout) => layout,
     };
@@ -103,15 +135,11 @@ pub fn scatterv_with_report<C: Comm + ?Sized>(
         },
         || compile_scatter(algo, p, me, &layout, root, recvbuf.is_some()),
     );
-    execute(
-        comm,
-        &plan,
-        &Bindings {
-            send: sendbuf,
-            recv: recvbuf,
-        },
-    )
-    .map(Some)
+    let bind = Bindings {
+        send: sendbuf,
+        recv: recvbuf,
+    };
+    execute_async(comm, &plan, &bind).await.map(Some)
 }
 
 /// Validation and degenerate-case handling shared by the compiled and
@@ -123,7 +151,7 @@ enum Prepared {
     Run(Vec<(usize, usize)>),
 }
 
-fn prepare<C: Comm + ?Sized>(
+async fn prepare<C: AsyncComm + ?Sized>(
     comm: &mut C,
     sendbuf: Option<BufId>,
     recvbuf: Option<BufId>,
@@ -162,13 +190,12 @@ fn prepare<C: Comm + ?Sized>(
         return Err(CommError::Protocol("non-root scatter needs recvbuf".into()));
     }
     if p == 1 {
-        root_self_copy(
-            comm,
-            sendbuf.expect("validated: sender binds sendbuf"),
-            recvbuf,
-            &layout,
-            root,
-        )?;
+        // The root's own slice (skipped under `MPI_IN_PLACE`).
+        let sb = sendbuf.expect("validated: sender binds sendbuf");
+        let (off, len) = layout[root];
+        if let (Some(rb), true) = (recvbuf, len > 0) {
+            comm.copy_local(sb, off, rb, 0, len).await?;
+        }
         return Ok(Prepared::Done);
     }
     if counts.iter().all(|&c| c == 0) {
@@ -189,7 +216,7 @@ pub fn scatterv_legacy<C: Comm + ?Sized>(
     displs: Option<&[usize]>,
     root: usize,
 ) -> Result<()> {
-    let layout = match prepare(comm, sendbuf, recvbuf, counts, displs, root)? {
+    let layout = match block_on(prepare(comm, sendbuf, recvbuf, counts, displs, root))? {
         Prepared::Done => return Ok(()),
         Prepared::Run(layout) => layout,
     };

@@ -26,7 +26,7 @@
 //! `tests/schedule_equivalence.rs` pins this down on both the simulator
 //! and the thread transport.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use kacc_comm::{smcoll, Tag};
@@ -1918,7 +1918,11 @@ pub struct PlanCacheStats {
 }
 
 struct CacheInner {
+    /// Plan and last-use tick per key.
     map: HashMap<PlanKey, (Arc<Schedule>, u64)>,
+    /// Recency index: last-use tick → key, one entry per `map` entry.
+    /// Ticks are unique, so the first entry is the LRU victim.
+    recency: BTreeMap<u64, PlanKey>,
     tick: u64,
     stats: PlanCacheStats,
 }
@@ -1946,6 +1950,7 @@ impl PlanCache {
         PlanCache {
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
+                recency: BTreeMap::new(),
                 tick: 0,
                 stats: PlanCacheStats::default(),
             }),
@@ -1965,10 +1970,14 @@ impl PlanCache {
         key: PlanKey,
         compile: impl FnOnce() -> Schedule,
     ) -> Arc<Schedule> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
         if let Some((plan, used)) = inner.map.get_mut(&key) {
+            if let Some(k) = inner.recency.remove(used) {
+                inner.recency.insert(tick, k);
+            }
             *used = tick;
             let plan = Arc::clone(plan);
             inner.stats.hits += 1;
@@ -1977,16 +1986,12 @@ impl PlanCache {
         inner.stats.misses += 1;
         let plan = Arc::new(compile());
         if inner.map.len() >= self.capacity {
-            if let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone())
-            {
+            if let Some((_, oldest)) = inner.recency.pop_first() {
                 inner.map.remove(&oldest);
                 inner.stats.evictions += 1;
             }
         }
+        inner.recency.insert(tick, key.clone());
         inner.map.insert(key, (Arc::clone(&plan), tick));
         plan
     }
@@ -2017,10 +2022,10 @@ impl PlanCache {
     /// Returns the number of plans dropped.
     pub fn invalidate_members_before(&self, epoch: u32) -> usize {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let live = |k: &PlanKey| !matches!(k, PlanKey::Member { epoch: e, .. } if *e < epoch);
         let before = inner.map.len();
-        inner
-            .map
-            .retain(|k, _| !matches!(k, PlanKey::Member { epoch: e, .. } if *e < epoch));
+        inner.map.retain(|k, _| live(k));
+        inner.recency.retain(|_, k| live(k));
         before - inner.map.len()
     }
 
@@ -2028,6 +2033,7 @@ impl PlanCache {
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.map.clear();
+        inner.recency.clear();
         inner.stats = PlanCacheStats::default();
     }
 }
@@ -2159,6 +2165,49 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), PlanCacheStats::default());
+
+        // Seeded random lookups over 8 keys on capacity 4: every victim
+        // must be the key a naive least-recently-used scan picks, and the
+        // recency index must mirror the map after every call.
+        let cache = PlanCache::new(4);
+        let mut model: Vec<(usize, u64)> = Vec::new(); // (count, last use)
+        let mut state = 0x5EED_u64;
+        for t in 1..=500u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let count = 8 * (1 + (state >> 33) as usize % 8);
+            let evictions = cache.stats().evictions;
+            cache.get_or_compile(key(count), compile(count));
+            if let Some(entry) = model.iter_mut().find(|(c, _)| *c == count) {
+                entry.1 = t;
+            } else {
+                if model.len() == 4 {
+                    let (i, &(victim, _)) = model
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, (_, used))| *used)
+                        .unwrap();
+                    model.remove(i);
+                    assert_eq!(cache.stats().evictions, evictions + 1);
+                    let inner = cache.inner.lock().unwrap();
+                    assert!(!inner.map.contains_key(&key(victim)), "victim {victim}");
+                }
+                model.push((count, t));
+            }
+            let inner = cache.inner.lock().unwrap();
+            assert_eq!(inner.map.len(), model.len());
+            assert_eq!(inner.recency.len(), model.len());
+            for (tick, k) in &inner.recency {
+                assert_eq!(inner.map[k].1, *tick);
+            }
+            for &(c, _) in &model {
+                assert!(inner.map.contains_key(&key(c)));
+            }
+        }
+        let s = cache.stats();
+        assert_eq!(s.hits + s.misses, 500);
+        assert_eq!(s.evictions, s.misses - 4);
     }
 
     #[test]

@@ -29,8 +29,8 @@ use kacc_collectives::verify::{
 };
 use kacc_collectives::{
     remap_for_members, run_survivable, run_survivable_polled, AllgatherAlgo, AlltoallAlgo,
-    BcastAlgo, Dtype, GatherAlgo, MembershipReport, RecoveryPolicy, ScatterAlgo, Schedule, Step,
-    SurvivableOp,
+    BcastAlgo, Dtype, GatherAlgo, MembershipReport, RecoveryPolicy, ScatterAlgo, Schedule,
+    ScheduleReport, Step, SurvivableOp,
 };
 use kacc_collectives::{ReduceAlgo, ReduceOp};
 use kacc_comm::{Comm, CommExt, Tag};
@@ -130,9 +130,10 @@ fn op_for(pick: usize, count: usize, root: usize) -> SurvivableOp {
 }
 
 /// What one rank's survivable run produced: the agreed survivor list,
-/// the membership loop's report, whether the final execution's
-/// `RecoveryReport` was clean, and the observed payload bytes.
-type RankOutcome = std::result::Result<(Vec<usize>, MembershipReport, bool, Vec<u8>), String>;
+/// the membership loop's report, the final execution's report, and the
+/// observed payload bytes.
+type RankOutcome =
+    std::result::Result<(Vec<usize>, MembershipReport, ScheduleReport, Vec<u8>), String>;
 
 /// Run survivable collective `pick` on the blocking engine. Buffers are
 /// parent-sized; a shrunken result occupies their prefix.
@@ -181,12 +182,7 @@ fn survivable_threads(comm: &mut SimComm, pick: usize, count: usize, root: usize
             let payload = out
                 .map(|b| comm.read_all(b).expect("read"))
                 .unwrap_or_default();
-            Ok((
-                o.members,
-                o.membership,
-                o.report.recovery.is_empty(),
-                payload,
-            ))
+            Ok((o.members, o.membership, o.report, payload))
         }
         Err(e) => Err(format!("{e:?}")),
     }
@@ -246,12 +242,7 @@ async fn survivable_polled(
             let payload = out
                 .map(|b| comm.read_all(b).expect("read"))
                 .unwrap_or_default();
-            Ok((
-                o.members,
-                o.membership,
-                o.report.recovery.is_empty(),
-                payload,
-            ))
+            Ok((o.members, o.membership, o.report, payload))
         }
         Err(e) => Err(format!("{e:?}")),
     }
@@ -697,12 +688,15 @@ fn membership_fault_free_is_clean_on_both_engines() {
         let (trun, tres) = run_kill_sim(pick, p, count, 1, vec![], 0);
         let (prun, pres) = run_kill_polled(pick, p, count, 1, vec![], 0);
         for (r, out) in tres.iter().enumerate() {
-            let (members, mrep, recovery_clean, payload) = out
+            let (members, mrep, report, payload) = out
                 .as_ref()
                 .unwrap_or_else(|e| panic!("sim rank {r} pick {pick}: {e}"));
             assert_eq!(members, &all, "rank {r}: fault-free run shrank");
             assert!(mrep.is_clean(), "rank {r}: dirty membership {mrep:?}");
-            assert!(*recovery_clean, "rank {r}: dirty recovery report");
+            assert!(
+                report.recovery.is_empty(),
+                "rank {r}: dirty recovery report"
+            );
             let want = expected_survivor(pick, r, &all, p, count, 1);
             if let Some(d) = diff(&payload[..want.len()], &want) {
                 panic!("rank {r} pick {pick}: {d}");
@@ -864,6 +858,39 @@ fn membership_kill_during_shrink_reexec_both_engines() {
 fn membership_kill_wide_group_both_engines() {
     for pick in [2usize, 3] {
         check_kill_both_engines(pick, 128, 64, 0, &[(100, 3)], 1);
+    }
+}
+
+/// The `failures` figure's quick-scale kill points: Broadwell, p = 16,
+/// 4 KiB per member, root 0, plan seed `0xC0FFEE`, and the figure's
+/// nested victim sets (rank, kill after N ops) for k = 1..=4, on the
+/// four rooted collectives. Unlike the corpus above, these reach
+/// survivors that end in a typed error instead of completing, so the
+/// assertion is engine equality alone: both engines must hand every
+/// rank the same error, or the same members, reports and payload, and
+/// end at the same virtual time.
+#[test]
+fn membership_failures_figure_kill_points_engine_identical() {
+    let (p, count, root, seed) = (16, 4 << 10, 0, 0xC0FFEE);
+    let victims = [(p / 2, 2), (p - 1, 5), (p - 3, 3), (p / 4, 4)];
+    let arch = ArchProfile::broadwell();
+    for pick in [0usize, 1, 2, 5] {
+        for k in 1..=victims.len() {
+            let dead = &victims[..k];
+            let (trun, tres) = run_team_faulty(&arch, p, silent_kill(seed, dead), move |comm| {
+                survivable_threads(comm, pick, count, root)
+            });
+            let (prun, pres) =
+                run_polled_team_faulty(&arch, p, silent_kill(seed, dead), move |rank| async move {
+                    survivable_polled(&mut PolledComm::new(rank), pick, count, root).await
+                });
+            let ctx = format!("{} k={k} dead={dead:?}", PICK_NAMES[pick]);
+            assert_eq!(
+                trun.end_ns, prun.end_ns,
+                "{ctx}: engines disagree on end time"
+            );
+            assert_eq!(tres, pres, "{ctx}: engines disagree on per-rank outcomes");
+        }
     }
 }
 

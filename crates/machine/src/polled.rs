@@ -13,6 +13,10 @@
 //! stats, payloads, traces) to the threads run of the same program — the
 //! engine-equivalence suite pins this.
 //!
+//! `PolledComm` also implements [`kacc_comm::AsyncComm`] by forwarding
+//! to its inherent methods, which is how the collectives' single async
+//! executor, recovery ladder and survivable loop run on this engine.
+//!
 //! `SimComm` itself stays untouched as the reference implementation:
 //! legacy closure-on-threads bodies keep running there, and any drift
 //! between the two is a bug in this mirror.
@@ -763,25 +767,6 @@ impl PolledComm {
         Ok(payload)
     }
 
-    /// 0-byte notification — the polled mirror of
-    /// [`kacc_comm::CommExt::notify`].
-    pub async fn notify(&mut self, to: usize, tag: Tag) -> Result<()> {
-        self.ctrl_send(to, tag, &[]).await
-    }
-
-    /// Wait for a 0-byte notification — the polled mirror of
-    /// [`kacc_comm::CommExt::wait_notify`].
-    pub async fn wait_notify(&mut self, from: usize, tag: Tag) -> Result<()> {
-        let msg = self.ctrl_recv(from, tag).await?;
-        if !msg.is_empty() {
-            return Err(CommError::Protocol(format!(
-                "expected 0-byte notification from rank {from}, got {} bytes",
-                msg.len()
-            )));
-        }
-        Ok(())
-    }
-
     /// Bulk shared-memory send.
     pub async fn shm_send_data(
         &mut self,
@@ -1044,22 +1029,150 @@ impl PolledComm {
     }
 }
 
-/// Dissemination barrier over the polled control plane — the mirror of
-/// [`kacc_comm::smcoll::sm_barrier`] (same tags, same rounds, same
-/// message sequence).
-pub async fn sm_barrier_polled(comm: &mut PolledComm) -> Result<()> {
-    let p = comm.size();
-    let me = comm.rank();
-    let mut round = 0u32;
-    let mut dist = 1usize;
-    while dist < p {
-        let tag = Tag::internal(kacc_comm::smcoll::class::BARRIER, round);
-        comm.notify((me + dist) % p, tag).await?;
-        comm.wait_notify((me + p - dist) % p, tag).await?;
-        dist <<= 1;
-        round += 1;
+/// The executor-facing face of the endpoint: each operation forwards to
+/// the inherent method of the same name, so the shared `async`
+/// executor, recovery ladder and membership layer suspend exactly where
+/// the inherent methods do.
+impl kacc_comm::AsyncComm for PolledComm {
+    fn rank(&self) -> usize {
+        PolledComm::rank(self)
     }
-    Ok(())
+    fn size(&self) -> usize {
+        PolledComm::size(self)
+    }
+    fn topology(&self) -> Topology {
+        PolledComm::topology(self)
+    }
+    fn time_ns(&self) -> u64 {
+        PolledComm::time_ns(self)
+    }
+    fn tracer(&self) -> Tracer {
+        PolledComm::tracer(self)
+    }
+    fn alloc(&mut self, len: usize) -> BufId {
+        PolledComm::alloc(self, len)
+    }
+    fn free(&mut self, buf: BufId) -> Result<()> {
+        PolledComm::free(self, buf)
+    }
+    fn buf_len(&self, buf: BufId) -> Result<usize> {
+        PolledComm::buf_len(self, buf)
+    }
+    fn write_local(&mut self, buf: BufId, off: usize, data: &[u8]) -> Result<()> {
+        PolledComm::write_local(self, buf, off, data)
+    }
+    fn read_local(&self, buf: BufId, off: usize, out: &mut [u8]) -> Result<()> {
+        PolledComm::read_local(self, buf, off, out)
+    }
+
+    fn copy_local(
+        &mut self,
+        src: BufId,
+        src_off: usize,
+        dst: BufId,
+        dst_off: usize,
+        len: usize,
+    ) -> impl Future<Output = Result<()>> {
+        PolledComm::copy_local(self, src, src_off, dst, dst_off, len)
+    }
+    fn expose(&mut self, buf: BufId) -> impl Future<Output = Result<RemoteToken>> {
+        PolledComm::expose(self, buf)
+    }
+    fn cma_read(
+        &mut self,
+        token: RemoteToken,
+        remote_off: usize,
+        dst: BufId,
+        dst_off: usize,
+        len: usize,
+    ) -> impl Future<Output = Result<()>> {
+        PolledComm::cma_read(self, token, remote_off, dst, dst_off, len)
+    }
+    fn cma_write(
+        &mut self,
+        token: RemoteToken,
+        remote_off: usize,
+        src: BufId,
+        src_off: usize,
+        len: usize,
+    ) -> impl Future<Output = Result<()>> {
+        PolledComm::cma_write(self, token, remote_off, src, src_off, len)
+    }
+    fn ctrl_send(&mut self, to: usize, tag: Tag, data: &[u8]) -> impl Future<Output = Result<()>> {
+        PolledComm::ctrl_send(self, to, tag, data)
+    }
+    fn ctrl_recv(&mut self, from: usize, tag: Tag) -> impl Future<Output = Result<Vec<u8>>> {
+        PolledComm::ctrl_recv(self, from, tag)
+    }
+    fn ctrl_recv_deadline(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        timeout_ns: u64,
+    ) -> impl Future<Output = Result<Option<Vec<u8>>>> {
+        PolledComm::ctrl_recv_deadline(self, from, tag, timeout_ns)
+    }
+    fn shm_send_data(
+        &mut self,
+        to: usize,
+        tag: Tag,
+        src: BufId,
+        off: usize,
+        len: usize,
+    ) -> impl Future<Output = Result<()>> {
+        PolledComm::shm_send_data(self, to, tag, src, off, len)
+    }
+    fn shm_recv_data(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        dst: BufId,
+        off: usize,
+        len: usize,
+    ) -> impl Future<Output = Result<()>> {
+        PolledComm::shm_recv_data(self, from, tag, dst, off, len)
+    }
+    fn shm_recv_deadline(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        dst: BufId,
+        off: usize,
+        len: usize,
+        timeout_ns: u64,
+    ) -> impl Future<Output = Result<bool>> {
+        PolledComm::shm_recv_deadline(self, from, tag, dst, off, len, timeout_ns)
+    }
+    fn shm_fallback_read(
+        &mut self,
+        token: RemoteToken,
+        remote_off: usize,
+        dst: BufId,
+        dst_off: usize,
+        len: usize,
+    ) -> impl Future<Output = Result<()>> {
+        PolledComm::shm_fallback_read(self, token, remote_off, dst, dst_off, len)
+    }
+    fn shm_fallback_write(
+        &mut self,
+        token: RemoteToken,
+        remote_off: usize,
+        src: BufId,
+        src_off: usize,
+        len: usize,
+    ) -> impl Future<Output = Result<()>> {
+        PolledComm::shm_fallback_write(self, token, remote_off, src, src_off, len)
+    }
+    fn sleep_ns(&mut self, ns: u64) -> impl Future<Output = ()> {
+        PolledComm::sleep_ns(self, ns)
+    }
+}
+
+/// Dissemination barrier over the polled control plane:
+/// [`kacc_comm::smcoll::sm_barrier`] on this engine (same code, same
+/// tags, same message sequence).
+pub async fn sm_barrier_polled(comm: &mut PolledComm) -> Result<()> {
+    kacc_comm::smcoll::sm_barrier_async(comm).await
 }
 
 // ---------------------------------------------------------------------
@@ -1279,14 +1392,14 @@ mod tests {
                 comm.ctrl_send(1, Tag::user(1), &tok.to_bytes())
                     .await
                     .unwrap();
-                comm.wait_notify(1, Tag::user(2)).await.unwrap();
+                assert!(comm.ctrl_recv(1, Tag::user(2)).await.unwrap().is_empty());
                 Vec::new()
             } else {
                 let raw = comm.ctrl_recv(0, Tag::user(1)).await.unwrap();
                 let tok = RemoteToken::from_bytes(&raw).unwrap();
                 let dst = comm.alloc(8192);
                 comm.cma_read(tok, 0, dst, 0, 8192).await.unwrap();
-                comm.notify(0, Tag::user(2)).await.unwrap();
+                comm.ctrl_send(0, Tag::user(2), &[]).await.unwrap();
                 comm.read_all(dst).unwrap()
             }
         });
@@ -1338,7 +1451,7 @@ mod tests {
                             .unwrap();
                     }
                     for r in 1..=readers {
-                        comm.wait_notify(r, Tag::user(2)).await.unwrap();
+                        assert!(comm.ctrl_recv(r, Tag::user(2)).await.unwrap().is_empty());
                     }
                     0u64
                 } else {
@@ -1350,7 +1463,7 @@ mod tests {
                         .await
                         .unwrap();
                     let d = comm.time_ns() - t0;
-                    comm.notify(0, Tag::user(2)).await.unwrap();
+                    comm.ctrl_send(0, Tag::user(2), &[]).await.unwrap();
                     d
                 }
             })

@@ -59,15 +59,22 @@ cargo run --release -q -p kacc-bench --bin repro -- --quick --fault-plan "$fault
 cargo run --release -q -p kacc-trace --bin trace-validate -- "$trace_tmp"
 
 echo "== repro artifacts identical under both engines =="
-# The quick sweep of an engine-routed figure must print byte-identical
+# The quick sweeps of engine-routed figures must print byte-identical
 # charts on the threads and the polled engine (the repro-level face of
-# the engine-equivalence suite).
+# the engine-equivalence suite): fig10 for the collectives, failures for
+# the survivable loop and its survivor-error counts.
 threads_tmp="$(mktemp -t kacc-threads-XXXXXX.txt)"
 polled_tmp="$(mktemp -t kacc-polled-XXXXXX.txt)"
-cargo run --release -q -p kacc-bench --bin repro -- --quick --jobs 1 fig10 > "$threads_tmp"
-cargo run --release -q -p kacc-bench --bin repro -- --quick --jobs 1 --engine polled fig10 > "$polled_tmp"
+cargo run --release -q -p kacc-bench --bin repro -- --quick --jobs 1 fig10 failures > "$threads_tmp"
+cargo run --release -q -p kacc-bench --bin repro -- --quick --jobs 1 --engine polled fig10 failures > "$polled_tmp"
 diff "$threads_tmp" "$polled_tmp"
 rm -f "$threads_tmp" "$polled_tmp"
+
+echo "== benchmark package builds against this tree (locked) =="
+# kbench is its own workspace with path deps on the kacc crates: a break
+# of any API it calls, or a dependency change that would rewrite its
+# lockfile, fails here.
+cargo build --release --offline --locked --manifest-path kbench/Cargo.toml
 
 echo "== metrics snapshot determinism (--jobs 1 vs 4, both engines) =="
 cargo test -q --release -p kacc-bench --test metrics_determinism
